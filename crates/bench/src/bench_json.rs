@@ -1,14 +1,17 @@
 //! Minimal JSON emission for machine-readable benchmark snapshots.
 //!
-//! The `report` binary commits `BENCH_<id>.json` files at the repo root
-//! so CI and downstream tooling can diff performance without parsing
-//! the human tables. No serde (no-deps discipline): a tiny value tree
-//! with a deterministic, pretty-printed writer is all the experiments
-//! need.
+//! The `report` binary commits full-effort `BENCH_<id>.json` files at
+//! the repo root so CI and downstream tooling can diff performance
+//! without parsing the human tables; quick runs write theirs under
+//! `target/bench/` instead. No serde (no-deps discipline): a tiny value
+//! tree with a deterministic, pretty-printed writer is all the
+//! experiments need.
 
 use std::fmt::Write as _;
 use std::io;
 use std::path::PathBuf;
+
+use crate::Effort;
 
 /// A JSON value. Object keys keep insertion order so emitted files are
 /// stable across runs (diff-friendly).
@@ -434,20 +437,34 @@ pub fn repo_root() -> PathBuf {
         .unwrap_or_else(|_| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../.."))
 }
 
-/// Writes `value` to `BENCH_<id>.json` at the repo root, returning the
-/// path written. Failures are soft (reported, not fatal): the text
-/// report is the primary artifact and must not die on a read-only
-/// checkout.
-pub fn write_snapshot(id: &str, value: &Json) -> io::Result<PathBuf> {
-    let path = repo_root().join(format!("BENCH_{id}.json"));
+/// Where the snapshot of experiment `id` at `effort` goes: the
+/// committed `BENCH_<id>.json` at the repo root for a full run, and
+/// `target/bench/BENCH_<id>.json` for a quick one — a smoke run must
+/// never overwrite a committed full-effort snapshot.
+pub fn snapshot_path(id: &str, effort: Effort) -> PathBuf {
+    let file = format!("BENCH_{id}.json");
+    match effort {
+        Effort::Full => repo_root().join(file),
+        Effort::Quick => repo_root().join("target").join("bench").join(file),
+    }
+}
+
+/// Writes `value` to [`snapshot_path`], returning the path written.
+/// Failures are soft (reported, not fatal): the text report is the
+/// primary artifact and must not die on a read-only checkout.
+pub fn write_snapshot(id: &str, effort: Effort, value: &Json) -> io::Result<PathBuf> {
+    let path = snapshot_path(id, effort);
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
+    }
     std::fs::write(&path, value.to_pretty())?;
     Ok(path)
 }
 
 /// [`write_snapshot`], folded into a one-line status string for the
 /// experiment's text report.
-pub fn snapshot_status(id: &str, value: &Json) -> String {
-    match write_snapshot(id, value) {
+pub fn snapshot_status(id: &str, effort: Effort, value: &Json) -> String {
+    match write_snapshot(id, effort, value) {
         Ok(path) => format!("\nmachine-readable snapshot: {}\n", path.display()),
         Err(e) => format!("\nmachine-readable snapshot NOT written (BENCH_{id}.json): {e}\n"),
     }
@@ -456,6 +473,19 @@ pub fn snapshot_status(id: &str, value: &Json) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn quick_snapshots_stay_out_of_the_repo_root() {
+        let root = repo_root();
+        assert_eq!(
+            snapshot_path("e_fleet", Effort::Full),
+            root.join("BENCH_e_fleet.json")
+        );
+        assert_eq!(
+            snapshot_path("e_fleet", Effort::Quick),
+            root.join("target/bench/BENCH_e_fleet.json")
+        );
+    }
 
     #[test]
     fn renders_stable_pretty_json() {

@@ -237,14 +237,7 @@ pub fn e_cluster(effort: Effort) -> String {
 
     let snapshot = obj([
         ("experiment", "e_cluster".into()),
-        (
-            "effort",
-            match effort {
-                Effort::Quick => "quick",
-                Effort::Full => "full",
-            }
-            .into(),
-        ),
+        ("effort", effort.name().into()),
         ("clients", CLIENTS.into()),
         ("n", N_SITES.into()),
         ("k", K.into()),
@@ -253,6 +246,6 @@ pub fn e_cluster(effort: Effort) -> String {
         ("ticks", ticks.into()),
         ("runs", Json::Arr(runs_json)),
     ]);
-    out.push_str(&snapshot_status("e_cluster", &snapshot));
+    out.push_str(&snapshot_status("e_cluster", effort, &snapshot));
     out
 }

@@ -146,18 +146,11 @@ pub fn e_fleet(effort: Effort) -> String {
 
     let snapshot = obj([
         ("experiment", "e_fleet".into()),
-        (
-            "effort",
-            match effort {
-                Effort::Quick => "quick",
-                Effort::Full => "full",
-            }
-            .into(),
-        ),
+        ("effort", effort.name().into()),
         ("n", 5_000usize.into()),
         ("k", 5usize.into()),
         ("runs", Json::Arr(cells_json)),
     ]);
-    out.push_str(&snapshot_status("e_fleet", &snapshot));
+    out.push_str(&snapshot_status("e_fleet", effort, &snapshot));
     out
 }

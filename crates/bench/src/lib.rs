@@ -34,6 +34,14 @@ pub enum Effort {
 }
 
 impl Effort {
+    /// The effort's name as recorded in benchmark snapshots.
+    pub fn name(self) -> &'static str {
+        match self {
+            Effort::Quick => "quick",
+            Effort::Full => "full",
+        }
+    }
+
     /// Scales a tick count.
     pub fn ticks(self, full: usize) -> usize {
         match self {

@@ -244,14 +244,7 @@ pub fn e_net(effort: Effort) -> String {
 
     let snapshot = obj([
         ("experiment", "e_net".into()),
-        (
-            "effort",
-            match effort {
-                Effort::Quick => "quick",
-                Effort::Full => "full",
-            }
-            .into(),
-        ),
+        ("effort", effort.name().into()),
         ("clients", sc.clients.into()),
         ("n", sc.n.into()),
         ("k", sc.k.into()),
@@ -263,6 +256,6 @@ pub fn e_net(effort: Effort) -> String {
             (model.total.comm_objects as f64 / query_ticks as f64).into(),
         ),
     ]);
-    out.push_str(&snapshot_status("e_net", &snapshot));
+    out.push_str(&snapshot_status("e_net", effort, &snapshot));
     out
 }

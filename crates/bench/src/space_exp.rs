@@ -183,18 +183,11 @@ pub fn e_spaces(effort: Effort) -> String {
     );
     let snapshot = obj([
         ("experiment", "e_spaces".into()),
-        (
-            "effort",
-            match effort {
-                Effort::Quick => "quick",
-                Effort::Full => "full",
-            }
-            .into(),
-        ),
+        ("effort", effort.name().into()),
         ("k", sc.k.into()),
         ("ticks", sc.ticks.into()),
         ("runs", Json::Arr(runs)),
     ]);
-    out.push_str(&snapshot_status("e_spaces", &snapshot));
+    out.push_str(&snapshot_status("e_spaces", effort, &snapshot));
     out
 }

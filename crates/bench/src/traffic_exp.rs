@@ -279,19 +279,12 @@ pub fn e_traffic(effort: Effort) -> String {
     );
     let snapshot = obj([
         ("experiment", "e_traffic".into()),
-        (
-            "effort",
-            match effort {
-                Effort::Quick => "quick",
-                Effort::Full => "full",
-            }
-            .into(),
-        ),
+        ("effort", effort.name().into()),
         // Headline cost: the apply-mode rush-hour stream's us per
         // query-tick.
         ("us_per_tick", us_per_tick.into()),
         ("runs", Json::Arr(runs)),
     ]);
-    out.push_str(&snapshot_status("e_traffic", &snapshot));
+    out.push_str(&snapshot_status("e_traffic", effort, &snapshot));
     out
 }

@@ -285,18 +285,11 @@ pub fn e_update(effort: Effort) -> String {
     );
     let snapshot = obj([
         ("experiment", "e_update".into()),
-        (
-            "effort",
-            match effort {
-                Effort::Quick => "quick",
-                Effort::Full => "full",
-            }
-            .into(),
-        ),
+        ("effort", effort.name().into()),
         // Headline cost: the apply-mode fleet stream's us per query-tick.
         ("us_per_tick", us_per_tick.into()),
         ("runs", Json::Arr(runs)),
     ]);
-    out.push_str(&snapshot_status("e_update", &snapshot));
+    out.push_str(&snapshot_status("e_update", effort, &snapshot));
     out
 }

@@ -8,7 +8,8 @@
 //! register into the new one (a fresh region-local `QueryId`), tick the
 //! new query on the same position in the same group tick. The paper's
 //! INS protocol is what makes this cheap — the migrated query simply
-//! pays one recomputation at the boundary, exactly like an epoch rebind.
+//! pays one recomputation at the boundary, like an epoch rebind that
+//! breaks its certificate.
 //! A stable cluster-wide [`ClientId`] rides on top, so callers never see
 //! region-local ids.
 //!

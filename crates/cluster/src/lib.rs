@@ -18,9 +18,9 @@
 //! * [`PartitionGroup`] — N `FleetEngine`s in one process behind one
 //!   position-routed registry. Border crossings become **handoffs**
 //!   (deregister + re-register, one recomputation — the same cost the
-//!   INS protocol already pays for an epoch rebind); every per-tick
-//!   result carries global ids and an explicit *certified* bit from the
-//!   overlap-margin contract.
+//!   INS protocol pays for an epoch rebind that breaks a certificate);
+//!   every per-tick result carries global ids and an explicit
+//!   *certified* bit from the overlap-margin contract.
 //! * [`RouterServer`] — the wire front-end. Speaks the ordinary
 //!   `insq-net` protocol to clients and multiplexes them over client
 //!   connections to N backend partition servers, rewriting site ids

@@ -15,7 +15,7 @@ use std::borrow::Borrow;
 
 use insq_geom::{Circle, ConvexPolygon, Point};
 use insq_index::{VorTree, VorTreeScratch};
-use insq_voronoi::{order_k_cell, SiteId};
+use insq_voronoi::{order_k_cell, SiteId, Voronoi};
 
 use crate::influential::influential_neighbor_set_into;
 use crate::processor::{MovingKnn, Processor};
@@ -70,6 +70,15 @@ impl Space for Euclidean {
 
     fn brute_knn(index: &VorTree, pos: Point, k: usize) -> Vec<SiteId> {
         index.brute_knn(pos, k)
+    }
+
+    fn certificate_survives(
+        old: &VorTree,
+        new: &VorTree,
+        knn: &[(SiteId, f64)],
+        held: &[SiteId],
+    ) -> bool {
+        voronoi_certificate_survives(old.voronoi(), new.voronoi(), knn, held)
     }
 
     fn validate_into(
@@ -158,6 +167,38 @@ pub(crate) fn rank_held_into<F: Fn(SiteId) -> f64>(
         r.1 = r.1.sqrt();
     }
     ops
+}
+
+/// The carry-over rule shared by the (plain and weighted) Euclidean
+/// spaces ([`Space::certificate_survives`]): the certificate survives
+/// iff (1) every kNN and held id is in range of `new` and names a
+/// bit-identical point in both diagrams, and (2) every kNN member's
+/// Voronoi neighbor list is identical in both.
+///
+/// Sound because the processor's invariant gives `I(kNN) ⊆ held`: by
+/// (1) and (2) the kNN cells and `I(kNN)` are the same sites at the same
+/// places in `new`, so Theorem 1 (`MIS ⊆ I(kNN)`) still certifies the
+/// result and its stored distances stay exact. (1) also rejects a
+/// swap-remove renumbering, where a held id names a different site in
+/// `new`. Cost O(|held| + Σ|N(kNN)|), no allocation.
+pub(crate) fn voronoi_certificate_survives(
+    old: &Voronoi,
+    new: &Voronoi,
+    knn: &[(SiteId, f64)],
+    held: &[SiteId],
+) -> bool {
+    let (before, after) = (old.points(), new.points());
+    let same_site = |s: SiteId| {
+        after.get(s.idx()).is_some_and(|a| {
+            let b = before[s.idx()];
+            a.x.to_bits() == b.x.to_bits() && a.y.to_bits() == b.y.to_bits()
+        })
+    };
+    knn.iter().all(|&(s, _)| same_site(s))
+        && held.iter().all(|&s| same_site(s))
+        && knn
+            .iter()
+            .all(|&(s, _)| old.neighbors(s) == new.neighbors(s))
 }
 
 /// The INS moving-kNN processor over a [`VorTree`] — the Euclidean

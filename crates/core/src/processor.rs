@@ -271,24 +271,44 @@ impl<S: Space, B: Borrow<S::Index>> Processor<S, B> {
         self.initialized = false;
     }
 
-    /// Rebinds the processor to a rebuilt index snapshot after
-    /// data-object updates (the server reconstructs the index; the
-    /// client continues the same moving query against the new data set).
-    /// Implies [`Processor::invalidate`]. Statistics are preserved so a
-    /// run's totals include the update's recomputation cost.
+    /// Rebinds the processor to a new index snapshot after data-object
+    /// updates (the server patches or rebuilds the index; the client
+    /// continues the same moving query against the new data set).
+    /// Statistics are preserved so a run's totals include the update's
+    /// cost.
+    ///
+    /// **Carry-over.** If [`Space::certificate_survives`] holds for the
+    /// old snapshot, the new one and the query's state, the certificate
+    /// is still valid in the new snapshot: the processor keeps its
+    /// result and held objects, swaps only the index handle, and returns
+    /// `true` — the next tick is an ordinary validation. Otherwise it
+    /// implies [`Processor::invalidate`] (the next tick pays one full
+    /// recomputation) and returns `false`. In the Euclidean spaces a
+    /// delta changes the Voronoi cells of only a handful of sites, so
+    /// almost every query carries; road networks always recompute.
     ///
     /// `insq-server` epoch-versioned worlds call this with the freshly
     /// published `Arc<S::Index>` snapshot; manual single-query code
     /// passes the new `&S::Index` as before. If the new index holds
     /// fewer than `k` objects, subsequent ticks return all of them
     /// (`current_knn` shrinks below `k`) rather than failing.
-    pub fn rebind(&mut self, index: B) {
-        self.cached = vec![false; S::num_sites(index.borrow())];
+    pub fn rebind(&mut self, index: B) -> bool {
+        let carried = self.initialized
+            && S::certificate_survives(
+                self.index.borrow(),
+                index.borrow(),
+                &self.knn,
+                &self.cached_list,
+            );
+        if !carried {
+            self.invalidate();
+        }
+        // Carried or not, every held id is in range of the new index and
+        // the bitmap beyond the held ids is all-false, so resizing in
+        // place suffices.
+        self.cached.resize(S::num_sites(index.borrow()), false);
         self.index = index;
-        self.cached_list.clear();
-        self.knn.clear();
-        self.scope.clear();
-        self.initialized = false;
+        carried
     }
 
     fn is_cached(&self, s: S::SiteId) -> bool {

@@ -138,6 +138,27 @@ pub trait Space: Sized + Copy + Send + Sync + 'static {
     /// hot path; allocates freely.
     fn brute_knn(index: &Self::Index, pos: Self::Pos, k: usize) -> Vec<Self::SiteId>;
 
+    /// Whether a certified result survives a rebind from snapshot `old`
+    /// to snapshot `new` unchanged: `knn` (with its stored distances)
+    /// is still the kNN at the query's last position in `new`, and the
+    /// `held` objects still guard it, so validation can continue without
+    /// a recomputation. `held` is every object the client holds; the
+    /// processor's invariant gives `knn ⊆ held` and `I(knn) ⊆ held`.
+    ///
+    /// The decision must depend only on the two snapshots and the
+    /// query's state (no snapshot lineage), so it is the same for a
+    /// delta epoch, a full publish, or a query that skipped several
+    /// epochs. The default `false` keeps the conservative rule — every
+    /// rebind pays one recomputation — and is what road networks use.
+    fn certificate_survives(
+        _old: &Self::Index,
+        _new: &Self::Index,
+        _knn: &[(Self::SiteId, f64)],
+        _held: &[Self::SiteId],
+    ) -> bool {
+        false
+    }
+
     /// The per-tick validation step (§III-A / Theorem 2): decides
     /// whether `current` is still certified at `pos`. On
     /// [`Verdict::Valid`], `out` holds the current result with distances

@@ -19,7 +19,7 @@ use insq_geom::Point;
 use insq_index::{VorTreeScratch, WeightedVorTree};
 use insq_voronoi::SiteId;
 
-use crate::euclidean::rank_held_into;
+use crate::euclidean::{rank_held_into, voronoi_certificate_survives};
 use crate::influential::influential_neighbor_set_into;
 use crate::processor::Processor;
 use crate::space::{Space, Verdict};
@@ -75,6 +75,18 @@ impl Space for WeightedEuclidean {
 
     fn brute_knn(index: &WeightedVorTree, pos: Point, k: usize) -> Vec<SiteId> {
         index.knn_brute(pos, k)
+    }
+
+    /// The Euclidean carry-over rule on the scaled-space diagram, which
+    /// additionally needs the same axis weights in both snapshots.
+    fn certificate_survives(
+        old: &WeightedVorTree,
+        new: &WeightedVorTree,
+        knn: &[(SiteId, f64)],
+        held: &[SiteId],
+    ) -> bool {
+        old.weights() == new.weights()
+            && voronoi_certificate_survives(old.voronoi(), new.voronoi(), knn, held)
     }
 
     fn validate_into(

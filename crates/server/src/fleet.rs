@@ -215,13 +215,18 @@ pub struct TickSummary {
     /// Queries that detected an epoch bump and rebound to the new
     /// snapshot before ticking.
     pub rebinds: u64,
+    /// Rebinds whose certificate survived the new snapshot, so the
+    /// query kept its state (subset of `rebinds`; `rebinds - carried`
+    /// rebinds forced a recomputation).
+    pub carried: u64,
     /// Ticks that validated without any result change.
     pub valid: u64,
     /// Single-swap local repairs (update case (i)).
     pub swaps: u64,
     /// Multi-object local repairs (update case (ii)).
     pub local_reranks: u64,
-    /// Full recomputations (update case (iii) / initial / post-rebind).
+    /// Full recomputations (update case (iii) / initial / a rebind whose
+    /// certificate did not survive).
     pub recomputations: u64,
     /// Queries re-served without ticking (deadline policy only).
     pub stale: u64,
@@ -234,6 +239,7 @@ impl TickSummary {
     fn absorb(&mut self, other: &TickSummary) {
         self.ticked += other.ticked;
         self.rebinds += other.rebinds;
+        self.carried += other.carried;
         self.valid += other.valid;
         self.swaps += other.swaps;
         self.local_reranks += other.local_reranks;
@@ -365,7 +371,8 @@ where
     /// `World` could otherwise carry a matching epoch number and keep
     /// answering from the wrong data set undetected. A freshly created
     /// (never ticked) query pays nothing for this; a warm query pays one
-    /// recomputation at its next tick.
+    /// recomputation at its next tick unless its certificate survives
+    /// this world's snapshot.
     pub fn register(&mut self, mut query: Q) -> QueryId {
         let (epoch, snapshot) = self.world.snapshot();
         query.bind(epoch, &snapshot);
@@ -430,9 +437,11 @@ where
     /// answer within one call). `sink` receives one [`TickDisposition`]
     /// per live query, in deterministic shard order. Queries that
     /// actually tick and are bound to an older epoch than the world's
-    /// current one are rebound first (paying a recomputation on this
-    /// tick); re-served queries keep their old snapshot until the policy
-    /// forces a refresh.
+    /// current one are rebound first — carrying their state over when
+    /// their certificate survives the new snapshot, paying a
+    /// recomputation on this tick otherwise (see
+    /// [`FleetQuery::bind`]); re-served queries keep their old snapshot
+    /// until the policy forces a refresh.
     ///
     /// # Panics
     ///
@@ -465,9 +474,10 @@ where
     /// `positions` maps a query id to its new position; it is called from
     /// worker threads and must be pure (same id → same position within
     /// one call). Queries bound to an older epoch than the world's
-    /// current one are rebound first (paying a recomputation on this
-    /// tick), so a [`World::publish`] between ticks reaches the whole
-    /// fleet exactly once.
+    /// current one are rebound first, so a [`World::publish`] between
+    /// ticks reaches the whole fleet exactly once; only the queries whose
+    /// certificate the new snapshot breaks pay a recomputation on this
+    /// tick (see [`FleetQuery::bind`]).
     pub fn tick_all<F>(&mut self, positions: F) -> TickSummary
     where
         F: Fn(QueryId) -> Q::Pos + Sync,
@@ -520,8 +530,8 @@ where
         let tick_entry = |entry: &mut Entry<Q>, out: &mut TickSummary| {
             entry.stale = 0;
             if entry.query.bound_epoch() != epoch {
-                entry.query.bind(epoch, &snapshot);
                 out.rebinds += 1;
+                out.carried += u64::from(entry.query.bind(epoch, &snapshot));
             }
         };
         let tick_shard = |shard: &mut Vec<Entry<Q>>,

@@ -59,7 +59,9 @@
 //! ```
 //!
 //! A mid-run data-object update is one call — `world.publish(new_index)`
-//! — and the next `tick_all` rebinds every query exactly once (see
+//! — and the next `tick_all` rebinds every query exactly once. Only the
+//! queries whose certificate the update broke pay a recomputation; the
+//! rest carry their state over (`TickSummary::carried`; see
 //! `examples/fleet.rs` and the epoch model section of the README).
 
 #![warn(missing_docs)]

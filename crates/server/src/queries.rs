@@ -36,9 +36,13 @@ pub trait FleetQuery<W>: MovingKnn<Self::Pos, Self::Id> + Send {
     /// The epoch of the snapshot the query currently holds.
     fn bound_epoch(&self) -> Epoch;
 
-    /// Rebinds the query to a newly published snapshot. The next tick
-    /// pays one full recomputation; statistics are preserved.
-    fn bind(&mut self, epoch: Epoch, snapshot: &Arc<W>);
+    /// Rebinds the query to a newly published snapshot; statistics are
+    /// preserved. Returns `true` when the query's certificate survives
+    /// the new snapshot and its state is carried over (the next tick is
+    /// an ordinary validation), `false` when the next tick pays one full
+    /// recomputation — see `insq_core::Processor::rebind` for the rule.
+    /// The decision depends only on the query and the two snapshots.
+    fn bind(&mut self, epoch: Epoch, snapshot: &Arc<W>) -> bool;
 
     /// Advances the query one timestamp using a caller-provided scratch
     /// — the allocation-free hot path [`crate::FleetEngine::tick`] runs,
@@ -123,13 +127,13 @@ impl<S: Space> FleetQuery<S::Index> for SpaceQuery<S> {
         self.proc.tick_with(scratch, pos)
     }
 
-    fn bind(&mut self, epoch: Epoch, snapshot: &Arc<S::Index>) {
+    fn bind(&mut self, epoch: Epoch, snapshot: &Arc<S::Index>) -> bool {
         // The whole snapshot is rebound — on road networks a published
         // snapshot may carry a different network (map update) whose site
         // set / NVD index into *its* adjacency; in the common
         // POIs-changed case the unchanged parts are shared via `Arc` and
         // rebinding them is free.
-        self.proc.rebind(Arc::clone(snapshot));
         self.epoch = epoch;
+        self.proc.rebind(Arc::clone(snapshot))
     }
 }

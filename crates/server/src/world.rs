@@ -24,9 +24,15 @@
 //! Either way the [`World`] swaps its snapshot atomically and bumps the
 //! [`Epoch`]. Live queries keep reading their old `Arc`-held snapshot —
 //! results stay exact against the epoch they are bound to — and
-//! self-rebind to the new snapshot at their next tick, paying exactly one
-//! recomputation. This replaces the manual `rebind` dance of single-query
-//! code (`examples/data_updates.rs`).
+//! self-rebind to the new snapshot at their next tick. A query keeps its
+//! state across the rebind when its certificate provably survives the
+//! new snapshot (`insq_core::Space::certificate_survives`: in the
+//! Euclidean spaces, its held objects and its kNN members' Voronoi
+//! neighbor lists are unchanged, so Theorem 1 still certifies the
+//! result); otherwise it pays one recomputation. The rule compares the
+//! two snapshots directly, so it holds for `apply` and `publish` alike.
+//! This replaces the manual `rebind` dance of single-query code
+//! (`examples/data_updates.rs`).
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 

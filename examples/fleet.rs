@@ -4,8 +4,10 @@
 //! epoch-versioned world for 120 timestamps. Halfway through, the POI
 //! database is updated: the server builds a new VoR-tree and publishes it
 //! with one `World::publish` — no client is touched by hand; every query
-//! detects the epoch bump at its next tick and self-rebinds, paying
-//! exactly one recomputation.
+//! detects the epoch bump at its next tick and self-rebinds. The new
+//! database reshuffles every object, so no certificate survives and
+//! every query pays one recomputation (a small delta would let most
+//! queries carry their state over — see `TickSummary::carried`).
 //!
 //! Run with: `cargo run --release --example fleet`
 
@@ -63,8 +65,9 @@ fn main() {
         let summary = fleet.tick_all(|id| sc.position(&trajs[id.index()], id.index(), tick));
         if summary.rebinds > 0 {
             println!(
-                "tick {tick}: {} queries detected the epoch bump, rebound and recomputed",
-                summary.rebinds
+                "tick {tick}: {} queries detected the epoch bump and rebound \
+                 ({} carried their certificate over, the rest recomputed)",
+                summary.rebinds, summary.carried
             );
         }
     }
