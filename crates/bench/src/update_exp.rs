@@ -7,10 +7,11 @@
 //! data set sizes and delta sizes, in both the Euclidean and the road-
 //! network mode, plus a fleet stream segment showing update stalls.
 //!
-//! Expected shape: `apply` latency scales with the delta size (clone cost
-//! gives it an O(n) floor, repair adds O(delta · local)), while `publish`
-//! pays the full rebuild regardless — so small deltas win by well over
-//! the 5x acceptance bar at n >= 10k.
+//! Expected shape: `apply` latency scales with the delta size, while
+//! `publish` pays the full rebuild regardless — so small deltas win by
+//! well over the 5x acceptance bar at n >= 10k. The clone is a few
+//! `memcpy`s of flat arrays (a fixed number of allocations, bytes linear
+//! in n but at memory bandwidth), and the repair adds O(delta · local).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -277,11 +278,11 @@ pub fn e_update(effort: Effort) -> String {
     network_section(effort, &mut out, &mut runs);
     let us_per_tick = stream_section(effort, &mut out, &mut runs);
     out.push_str(
-        "\nexpected shape: apply latency grows with delta size from an O(n) copy-on-write\n\
-         floor and stays well under the O(n log n) rebuild (>= 5x for small deltas at\n\
-         n >= 10k); in the stream segment both modes answer identically (the\n\
-         conformance suites prove bit-equality) but the apply mode's update stalls are\n\
-         a fraction of the publish mode's.\n",
+        "\nexpected shape: apply latency grows with delta size from a copy-on-write floor\n\
+         (a few flat-array memcpys) and stays well under the O(n log n) rebuild (>= 5x\n\
+         for small deltas at n >= 10k); in the stream segment both modes answer\n\
+         identically (the conformance suites prove bit-equality) but the apply mode's\n\
+         update stalls are a fraction of the publish mode's.\n",
     );
     let snapshot = obj([
         ("experiment", "e_update".into()),

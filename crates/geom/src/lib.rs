@@ -21,6 +21,9 @@
 //!   forward error bound, falling back to exact expansion arithmetic.
 //! * [`Trajectory`] — arc-length parameterised polylines along which query
 //!   objects move.
+//! * [`FlatAdjacency`] — the per-site neighbor lists of both Voronoi
+//!   diagrams (Euclidean and network) in two flat arrays, so an epoch
+//!   snapshot clones in a few copies and repairs in O(delta).
 //!
 //! Everything is allocation-conscious: the hot kernels (`distance`,
 //! `orient2d`, half-plane clipping) never allocate, and polygon clipping
@@ -30,6 +33,7 @@
 #![forbid(unsafe_code)]
 
 pub mod aabb;
+pub mod adjacency;
 pub mod circle;
 pub mod halfplane;
 pub mod hull;
@@ -41,6 +45,7 @@ pub mod segment;
 pub mod trajectory;
 
 pub use aabb::Aabb;
+pub use adjacency::{copy_with_headroom, FlatAdjacency};
 pub use circle::Circle;
 pub use halfplane::HalfPlane;
 pub use hull::{convex_hull, hull_contains};

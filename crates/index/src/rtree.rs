@@ -5,11 +5,15 @@
 //! (the INSQ system stores [`insq_voronoi::SiteId`] values). Best-first kNN
 //! over `MINDIST` lower bounds (Roussopoulos et al.) is the search kernel
 //! both the naive baseline and the VoR-tree build on.
+//!
+//! Nodes keep their children and entries in fixed-capacity inline
+//! arrays, so the whole tree is one flat node array that clones in one
+//! copy — the R-tree half of a delta epoch's copy-on-write snapshot.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use insq_geom::{Aabb, Point};
+use insq_geom::{copy_with_headroom, Aabb, Point};
 
 /// Maximum entries/children per node.
 pub const MAX_ENTRIES: usize = 16;
@@ -17,7 +21,7 @@ pub const MAX_ENTRIES: usize = 16;
 pub const MIN_ENTRIES: usize = 6;
 
 /// An entry stored in the tree: a position and an opaque id.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Entry {
     /// Entry position.
     pub point: Point,
@@ -34,38 +38,101 @@ pub struct KnnStats {
     pub entries_scanned: usize,
 }
 
-#[derive(Debug, Clone)]
-enum NodeKind {
-    Internal { children: Vec<u32> },
-    Leaf { entries: Vec<Entry> },
+/// A node's children or entries, stored inline: `MAX_ENTRIES` slots
+/// plus the one an insert fills just before it splits the node. Nodes
+/// therefore own no heap memory, and the tree's node array clones in
+/// one copy.
+#[derive(Debug, Clone, Copy)]
+struct Slots<T> {
+    len: usize,
+    items: [T; MAX_ENTRIES + 1],
 }
 
-#[derive(Debug, Clone)]
-struct Node {
-    bbox: Aabb,
-    kind: NodeKind,
-}
-
-impl Node {
-    fn new_leaf() -> Node {
-        Node {
-            bbox: Aabb::empty(),
-            kind: NodeKind::Leaf {
-                entries: Vec::with_capacity(MAX_ENTRIES + 1),
-            },
+impl<T: Copy + Default> Slots<T> {
+    fn new() -> Slots<T> {
+        Slots {
+            len: 0,
+            items: [T::default(); MAX_ENTRIES + 1],
         }
     }
 
+    fn from_slice(items: &[T]) -> Slots<T> {
+        let mut slots = Slots::new();
+        slots.items[..items.len()].copy_from_slice(items);
+        slots.len = items.len();
+        slots
+    }
+
+    fn push(&mut self, x: T) {
+        self.items[self.len] = x;
+        self.len += 1;
+    }
+
+    /// Keeps the items `keep` accepts, in order.
+    fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
+        let mut kept = 0;
+        for i in 0..self.len {
+            if keep(&self.items[i]) {
+                self.items[kept] = self.items[i];
+                kept += 1;
+            }
+        }
+        self.len = kept;
+    }
+}
+
+impl<T> std::ops::Deref for Slots<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.items[..self.len]
+    }
+}
+
+/// A tree node: a leaf holds `entries`, an internal node `children`
+/// (the other array stays empty).
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    bbox: Aabb,
+    leaf: bool,
+    children: Slots<u32>,
+    entries: Slots<Entry>,
+}
+
+impl Node {
+    fn leaf(bbox: Aabb, entries: Slots<Entry>) -> Node {
+        Node {
+            bbox,
+            leaf: true,
+            children: Slots::new(),
+            entries,
+        }
+    }
+
+    fn internal(bbox: Aabb, children: Slots<u32>) -> Node {
+        Node {
+            bbox,
+            leaf: false,
+            children,
+            entries: Slots::new(),
+        }
+    }
+
+    fn new_leaf() -> Node {
+        Node::leaf(Aabb::empty(), Slots::new())
+    }
+
     fn len(&self) -> usize {
-        match &self.kind {
-            NodeKind::Internal { children } => children.len(),
-            NodeKind::Leaf { entries } => entries.len(),
+        if self.leaf {
+            self.entries.len()
+        } else {
+            self.children.len()
         }
     }
 }
 
 /// A dynamic R-tree over 2-D points.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct RTree {
     nodes: Vec<Node>,
     free: Vec<u32>,
@@ -73,6 +140,18 @@ pub struct RTree {
     /// Height of the root: 0 when the root is a leaf.
     height: u32,
     size: usize,
+}
+
+/// A clone keeps headroom in the node array, so the splits of a delta
+/// patched onto a snapshot clone do not reallocate the whole array.
+impl Clone for RTree {
+    fn clone(&self) -> RTree {
+        RTree {
+            nodes: copy_with_headroom(&self.nodes),
+            free: self.free.clone(),
+            ..*self
+        }
+    }
 }
 
 impl Default for RTree {
@@ -122,12 +201,7 @@ impl RTree {
             for group in slab.chunks(MAX_ENTRIES) {
                 let bbox =
                     Aabb::of_points(group.iter().map(|e| e.point)).expect("group is non-empty");
-                let id = tree.alloc(Node {
-                    bbox,
-                    kind: NodeKind::Leaf {
-                        entries: group.to_vec(),
-                    },
-                });
+                let id = tree.alloc(Node::leaf(bbox, Slots::from_slice(group)));
                 level.push(id);
             }
         }
@@ -162,12 +236,7 @@ impl RTree {
                     let bbox = group.iter().fold(Aabb::empty(), |acc, &c| {
                         acc.union(&tree.nodes[c as usize].bbox)
                     });
-                    let id = tree.alloc(Node {
-                        bbox,
-                        kind: NodeKind::Internal {
-                            children: group.to_vec(),
-                        },
-                    });
+                    let id = tree.alloc(Node::internal(bbox, Slots::from_slice(group)));
                     next_level.push(id);
                 }
             }
@@ -216,12 +285,10 @@ impl RTree {
             // Root split: grow the tree.
             let old_root = self.root;
             let old_bbox = self.nodes[old_root as usize].bbox;
-            let new_root = self.alloc(Node {
-                bbox: old_bbox.union(&sibling_bbox),
-                kind: NodeKind::Internal {
-                    children: vec![old_root, sibling],
-                },
-            });
+            let new_root = self.alloc(Node::internal(
+                old_bbox.union(&sibling_bbox),
+                Slots::from_slice(&[old_root, sibling]),
+            ));
             self.root = new_root;
             self.height += 1;
         }
@@ -231,92 +298,64 @@ impl RTree {
     fn insert_rec(&mut self, node: u32, entry: Entry) -> Option<(u32, Aabb)> {
         let ni = node as usize;
         self.nodes[ni].bbox.expand_to(entry.point);
-        match &mut self.nodes[ni].kind {
-            NodeKind::Leaf { entries } => {
-                entries.push(entry);
-                if entries.len() > MAX_ENTRIES {
-                    return Some(self.split_leaf(node));
-                }
-                None
+        if self.nodes[ni].leaf {
+            let entries = &mut self.nodes[ni].entries;
+            entries.push(entry);
+            if entries.len() > MAX_ENTRIES {
+                return Some(self.split_leaf(node));
             }
-            NodeKind::Internal { children } => {
-                // Choose the child needing least area enlargement.
-                let mut best = children[0];
-                let mut best_enlarge = f64::INFINITY;
-                let mut best_area = f64::INFINITY;
-                let children_snapshot = children.clone();
-                for &c in &children_snapshot {
-                    let bb = self.nodes[c as usize].bbox;
-                    let mut grown = bb;
-                    grown.expand_to(entry.point);
-                    let enlarge = grown.area() - bb.area();
-                    let area = bb.area();
-                    if enlarge < best_enlarge || (enlarge == best_enlarge && area < best_area) {
-                        best = c;
-                        best_enlarge = enlarge;
-                        best_area = area;
-                    }
-                }
-                if let Some((sibling, sibling_bbox)) = self.insert_rec(best, entry) {
-                    let NodeKind::Internal { children } = &mut self.nodes[ni].kind else {
-                        unreachable!("node kind cannot change during insert")
-                    };
-                    children.push(sibling);
-                    self.nodes[ni].bbox = self.nodes[ni].bbox.union(&sibling_bbox);
-                    if self.nodes[ni].len() > MAX_ENTRIES {
-                        return Some(self.split_internal(node));
-                    }
-                }
-                None
+            return None;
+        }
+        // Choose the child needing least area enlargement.
+        let children = self.nodes[ni].children;
+        let mut best = children[0];
+        let mut best_enlarge = f64::INFINITY;
+        let mut best_area = f64::INFINITY;
+        for &c in children.iter() {
+            let bb = self.nodes[c as usize].bbox;
+            let mut grown = bb;
+            grown.expand_to(entry.point);
+            let enlarge = grown.area() - bb.area();
+            let area = bb.area();
+            if enlarge < best_enlarge || (enlarge == best_enlarge && area < best_area) {
+                best = c;
+                best_enlarge = enlarge;
+                best_area = area;
             }
         }
+        if let Some((sibling, sibling_bbox)) = self.insert_rec(best, entry) {
+            self.nodes[ni].children.push(sibling);
+            self.nodes[ni].bbox = self.nodes[ni].bbox.union(&sibling_bbox);
+            if self.nodes[ni].len() > MAX_ENTRIES {
+                return Some(self.split_internal(node));
+            }
+        }
+        None
     }
 
     /// Quadratic split of an overflowing leaf; returns the new sibling.
     fn split_leaf(&mut self, node: u32) -> (u32, Aabb) {
-        let NodeKind::Leaf { entries } = &mut self.nodes[node as usize].kind else {
-            unreachable!("split_leaf on internal node")
-        };
-        let items = std::mem::take(entries);
-        let (a, b) = quadratic_split(items, |e| Aabb::of_point(e.point));
+        let entries = self.nodes[node as usize].entries;
+        let (a, b) = quadratic_split(&entries, |e| Aabb::of_point(e.point));
         let bbox_a = Aabb::of_points(a.iter().map(|e| e.point)).expect("split halves non-empty");
         let bbox_b = Aabb::of_points(b.iter().map(|e| e.point)).expect("split halves non-empty");
-        self.nodes[node as usize] = Node {
-            bbox: bbox_a,
-            kind: NodeKind::Leaf { entries: a },
-        };
-        let sibling = self.alloc(Node {
-            bbox: bbox_b,
-            kind: NodeKind::Leaf { entries: b },
-        });
+        self.nodes[node as usize] = Node::leaf(bbox_a, a);
+        let sibling = self.alloc(Node::leaf(bbox_b, b));
         (sibling, bbox_b)
     }
 
     /// Quadratic split of an overflowing internal node.
     fn split_internal(&mut self, node: u32) -> (u32, Aabb) {
-        let NodeKind::Internal { children } = &mut self.nodes[node as usize].kind else {
-            unreachable!("split_internal on leaf")
-        };
-        let items = std::mem::take(children);
-        let boxes: Vec<Aabb> = items.iter().map(|&c| self.nodes[c as usize].bbox).collect();
-        let idx: Vec<usize> = (0..items.len()).collect();
-        let (a_idx, b_idx) = quadratic_split(idx, |&i| boxes[i]);
-        let a: Vec<u32> = a_idx.iter().map(|&i| items[i]).collect();
-        let b: Vec<u32> = b_idx.iter().map(|&i| items[i]).collect();
+        let children = self.nodes[node as usize].children;
+        let (a, b) = quadratic_split(&children, |&c| self.nodes[c as usize].bbox);
         let bbox_of = |ids: &[u32], nodes: &[Node]| {
             ids.iter()
                 .fold(Aabb::empty(), |acc, &c| acc.union(&nodes[c as usize].bbox))
         };
         let bbox_a = bbox_of(&a, &self.nodes);
         let bbox_b = bbox_of(&b, &self.nodes);
-        self.nodes[node as usize] = Node {
-            bbox: bbox_a,
-            kind: NodeKind::Internal { children: a },
-        };
-        let sibling = self.alloc(Node {
-            bbox: bbox_b,
-            kind: NodeKind::Internal { children: b },
-        });
+        self.nodes[node as usize] = Node::internal(bbox_a, a);
+        let sibling = self.alloc(Node::internal(bbox_b, b));
         (sibling, bbox_b)
     }
 
@@ -334,14 +373,15 @@ impl RTree {
         // Shrink the root while it is an internal node with one child.
         loop {
             let ri = self.root as usize;
-            match &self.nodes[ri].kind {
-                NodeKind::Internal { children } if children.len() == 1 => {
-                    let only = children[0];
+            let root = &self.nodes[ri];
+            match root.children.len() {
+                _ if root.leaf => break,
+                1 => {
                     self.free.push(self.root);
-                    self.root = only;
+                    self.root = root.children[0];
                     self.height -= 1;
                 }
-                NodeKind::Internal { children } if children.is_empty() => {
+                0 => {
                     // All entries gone: reset to an empty leaf root.
                     self.nodes[ri] = Node::new_leaf();
                     self.height = 0;
@@ -361,67 +401,56 @@ impl RTree {
     /// Recursive removal; collects entries of condensed nodes in `orphans`.
     fn remove_rec(&mut self, node: u32, point: Point, id: u32, orphans: &mut Vec<Entry>) -> bool {
         let ni = node as usize;
-        match &mut self.nodes[ni].kind {
-            NodeKind::Leaf { entries } => {
-                let before = entries.len();
-                entries.retain(|e| !(e.id == id && e.point == point));
-                if entries.len() == before {
-                    return false;
+        if self.nodes[ni].leaf {
+            let entries = &mut self.nodes[ni].entries;
+            let before = entries.len();
+            entries.retain(|e| !(e.id == id && e.point == point));
+            if entries.len() == before {
+                return false;
+            }
+            self.recompute_bbox(node);
+            return true;
+        }
+        let kids = self.nodes[ni].children;
+        for &c in kids.iter() {
+            if !self.nodes[c as usize].bbox.contains(point) {
+                continue;
+            }
+            if self.remove_rec(c, point, id, orphans) {
+                // Condense: drop underfull children, orphaning their
+                // entries.
+                if self.nodes[c as usize].len() < MIN_ENTRIES {
+                    self.collect_entries(c, orphans);
+                    self.free.push(c);
+                    self.nodes[ni].children.retain(|&x| x != c);
                 }
                 self.recompute_bbox(node);
-                true
-            }
-            NodeKind::Internal { children } => {
-                let kids = children.clone();
-                for &c in &kids {
-                    if !self.nodes[c as usize].bbox.contains(point) {
-                        continue;
-                    }
-                    if self.remove_rec(c, point, id, orphans) {
-                        // Condense: drop underfull children, orphaning
-                        // their entries.
-                        if self.nodes[c as usize].len() < MIN_ENTRIES {
-                            self.collect_entries(c, orphans);
-                            self.free.push(c);
-                            let NodeKind::Internal { children } = &mut self.nodes[ni].kind else {
-                                unreachable!()
-                            };
-                            children.retain(|&x| x != c);
-                        }
-                        self.recompute_bbox(node);
-                        return true;
-                    }
-                }
-                false
+                return true;
             }
         }
+        false
     }
 
     fn collect_entries(&mut self, node: u32, out: &mut Vec<Entry>) {
-        match std::mem::replace(
-            &mut self.nodes[node as usize].kind,
-            NodeKind::Leaf {
-                entries: Vec::new(),
-            },
-        ) {
-            NodeKind::Leaf { entries } => out.extend(entries),
-            NodeKind::Internal { children } => {
-                for c in children {
-                    self.collect_entries(c, out);
-                    self.free.push(c);
-                }
+        let n = std::mem::replace(&mut self.nodes[node as usize], Node::new_leaf());
+        if n.leaf {
+            out.extend_from_slice(&n.entries);
+        } else {
+            for &c in n.children.iter() {
+                self.collect_entries(c, out);
+                self.free.push(c);
             }
         }
     }
 
     fn recompute_bbox(&mut self, node: u32) {
-        let bbox = match &self.nodes[node as usize].kind {
-            NodeKind::Leaf { entries } => {
-                Aabb::of_points(entries.iter().map(|e| e.point)).unwrap_or_else(Aabb::empty)
-            }
-            NodeKind::Internal { children } => children.iter().fold(Aabb::empty(), |acc, &c| {
+        let n = &self.nodes[node as usize];
+        let bbox = if n.leaf {
+            Aabb::of_points(n.entries.iter().map(|e| e.point)).unwrap_or_else(Aabb::empty)
+        } else {
+            n.children.iter().fold(Aabb::empty(), |acc, &c| {
                 acc.union(&self.nodes[c as usize].bbox)
-            }),
+            })
         };
         self.nodes[node as usize].bbox = bbox;
     }
@@ -440,11 +469,10 @@ impl RTree {
             if !n.bbox.intersects(region) {
                 continue;
             }
-            match &n.kind {
-                NodeKind::Leaf { entries } => {
-                    out.extend(entries.iter().filter(|e| region.contains(e.point)));
-                }
-                NodeKind::Internal { children } => stack.extend_from_slice(children),
+            if n.leaf {
+                out.extend(n.entries.iter().filter(|e| region.contains(e.point)));
+            } else {
+                stack.extend_from_slice(&n.children);
             }
         }
         out
@@ -491,25 +519,23 @@ impl RTree {
             match item.kind {
                 ItemKind::Node(id) => {
                     stats.nodes_visited += 1;
-                    match &self.nodes[id as usize].kind {
-                        NodeKind::Leaf { entries } => {
-                            stats.entries_scanned += entries.len();
-                            for e in entries {
-                                heap.push(QueueItem {
-                                    dist_sq: e.point.distance_sq(q),
-                                    tie: e.id,
-                                    kind: ItemKind::Entry(*e),
-                                });
-                            }
+                    let n = &self.nodes[id as usize];
+                    if n.leaf {
+                        stats.entries_scanned += n.entries.len();
+                        for e in n.entries.iter() {
+                            heap.push(QueueItem {
+                                dist_sq: e.point.distance_sq(q),
+                                tie: e.id,
+                                kind: ItemKind::Entry(*e),
+                            });
                         }
-                        NodeKind::Internal { children } => {
-                            for &c in children {
-                                heap.push(QueueItem {
-                                    dist_sq: self.nodes[c as usize].bbox.min_dist_sq(q),
-                                    tie: 0,
-                                    kind: ItemKind::Node(c),
-                                });
-                            }
+                    } else {
+                        for &c in n.children.iter() {
+                            heap.push(QueueItem {
+                                dist_sq: self.nodes[c as usize].bbox.min_dist_sq(q),
+                                tie: 0,
+                                kind: ItemKind::Node(c),
+                            });
                         }
                     }
                 }
@@ -549,9 +575,11 @@ impl RTree {
                 return Some(e);
             }
             let node = stack.pop()?;
-            match &self.nodes[node as usize].kind {
-                NodeKind::Leaf { entries } => buf.extend_from_slice(entries),
-                NodeKind::Internal { children } => stack.extend_from_slice(children),
+            let n = &self.nodes[node as usize];
+            if n.leaf {
+                buf.extend_from_slice(&n.entries);
+            } else {
+                stack.extend_from_slice(&n.children);
             }
         })
     }
@@ -563,7 +591,7 @@ impl RTree {
             return;
         }
         let mut leaf_depths = Vec::new();
-        self.check_rec(self.root, 0, &mut leaf_depths, true);
+        self.check_rec(self.root, 0, &mut leaf_depths);
         let first = leaf_depths[0];
         assert!(
             leaf_depths.iter().all(|&d| d == first),
@@ -572,38 +600,38 @@ impl RTree {
         assert_eq!(first, self.height, "height bookkeeping");
     }
 
-    fn check_rec(&self, node: u32, depth: u32, leaf_depths: &mut Vec<u32>, is_root: bool) {
+    fn check_rec(&self, node: u32, depth: u32, leaf_depths: &mut Vec<u32>) {
         let n = &self.nodes[node as usize];
-        match &n.kind {
-            NodeKind::Leaf { entries } => {
-                for e in entries {
-                    assert!(n.bbox.contains(e.point), "entry outside leaf bbox");
-                }
-                assert!(entries.len() <= MAX_ENTRIES, "leaf overflow");
-                leaf_depths.push(depth);
+        if n.leaf {
+            assert!(n.children.is_empty(), "leaf with children");
+            for e in n.entries.iter() {
+                assert!(n.bbox.contains(e.point), "entry outside leaf bbox");
             }
-            NodeKind::Internal { children } => {
-                assert!(!children.is_empty());
-                assert!(children.len() <= MAX_ENTRIES, "internal overflow");
-                if !is_root {
-                    // Bulk-loaded trees may have one underfull node per
-                    // level; accept >= 1 rather than strict MIN_ENTRIES.
-                    assert!(!children.is_empty(), "empty internal node");
-                }
-                for &c in children {
-                    assert!(
-                        n.bbox.contains_box(&self.nodes[c as usize].bbox),
-                        "child bbox escapes parent"
-                    );
-                    self.check_rec(c, depth + 1, leaf_depths, false);
-                }
-            }
+            assert!(n.entries.len() <= MAX_ENTRIES, "leaf overflow");
+            leaf_depths.push(depth);
+            return;
+        }
+        assert!(n.entries.is_empty(), "internal node with entries");
+        // Bulk-loaded trees may have one underfull node per level; accept
+        // >= 1 rather than strict MIN_ENTRIES.
+        assert!(!n.children.is_empty(), "empty internal node");
+        assert!(n.children.len() <= MAX_ENTRIES, "internal overflow");
+        for &c in n.children.iter() {
+            assert!(
+                n.bbox.contains_box(&self.nodes[c as usize].bbox),
+                "child bbox escapes parent"
+            );
+            self.check_rec(c, depth + 1, leaf_depths);
         }
     }
 }
 
 /// Guttman's quadratic split over any items with a bbox projection.
-fn quadratic_split<T, F: Fn(&T) -> Aabb>(items: Vec<T>, bbox_of: F) -> (Vec<T>, Vec<T>) {
+/// Each half keeps its items in assignment order (seed first).
+fn quadratic_split<T: Copy + Default, F: Fn(&T) -> Aabb>(
+    items: &[T],
+    bbox_of: F,
+) -> (Slots<T>, Slots<T>) {
     debug_assert!(items.len() >= 2);
     // Pick the pair wasting the most area as seeds.
     let boxes: Vec<Aabb> = items.iter().map(&bbox_of).collect();
@@ -649,16 +677,14 @@ fn quadratic_split<T, F: Fn(&T) -> Aabb>(items: Vec<T>, bbox_of: F) -> (Vec<T>, 
         }
     }
 
-    // Materialise preserving the original values.
-    let mut tagged: Vec<Option<T>> = items.into_iter().map(Some).collect();
-    let take = |ids: &[usize], tagged: &mut Vec<Option<T>>| {
-        ids.iter()
-            .map(|&i| tagged[i].take().expect("each index assigned once"))
-            .collect::<Vec<T>>()
+    let take = |ids: &[usize]| {
+        let mut half = Slots::new();
+        for &i in ids {
+            half.push(items[i]);
+        }
+        half
     };
-    let a = take(&group_a, &mut tagged);
-    let b = take(&group_b, &mut tagged);
-    (a, b)
+    (take(&group_a), take(&group_b))
 }
 
 /// Next item with the maximum preference between the two groups.

@@ -56,10 +56,10 @@ impl VorTree {
         Ok(Self::from_voronoi(voronoi))
     }
 
-    /// Wraps an existing Voronoi diagram (freezing its neighbor lists —
-    /// a published index starts immutable).
-    pub fn from_voronoi(mut voronoi: Voronoi) -> VorTree {
-        voronoi.freeze();
+    /// Wraps an existing Voronoi diagram, bulk-loading an R-tree over
+    /// its sites. The diagram's flat neighbor lists are used as they are:
+    /// the same layout serves reads and later delta repairs.
+    pub fn from_voronoi(voronoi: Voronoi) -> VorTree {
         let entries: Vec<Entry> = voronoi
             .points()
             .iter()
@@ -170,6 +170,10 @@ impl VorTree {
     /// with the delta partially applied — callers that need atomicity
     /// (like `insq_server::World::apply`) patch a clone and publish only
     /// on success.
+    ///
+    /// Only the touched neighbor lists and R-tree nodes change, and
+    /// nothing is re-laid-out afterwards. Every part of a `VorTree` is a
+    /// flat array, so the clone such callers patch is a few `memcpy`s.
     pub fn apply(&mut self, delta: &SiteDelta) -> Result<(), VoronoiError> {
         // Deltas are almost always already sorted and deduplicated; only
         // clone when they actually need normalising.
@@ -190,9 +194,6 @@ impl VorTree {
         for &p in &delta.added {
             self.insert_site(p)?;
         }
-        // The patched diagram is about to be published as an immutable
-        // epoch snapshot: re-freeze the neighbor lists into CSR.
-        self.voronoi.freeze();
         Ok(())
     }
 

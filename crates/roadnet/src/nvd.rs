@@ -25,6 +25,8 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
+use insq_geom::FlatAdjacency;
+
 use crate::dijkstra::multi_source;
 use crate::graph::{EdgeId, RoadNetwork, VertexId};
 use crate::sites::{SiteIdx, SiteSet};
@@ -83,8 +85,9 @@ pub struct NetworkVoronoi {
     owner: Vec<SiteIdx>,
     /// Per-edge ownership.
     edge_ownership: Vec<EdgeOwnership>,
-    /// Per-site neighbor lists (sorted ascending).
-    adj: Vec<Vec<SiteIdx>>,
+    /// Per-site neighbor lists (sorted ascending), flat — the same store
+    /// as the Euclidean diagram's.
+    adj: FlatAdjacency<SiteIdx>,
     /// How many split edges separate each adjacent cell pair (key is the
     /// ordered pair `(min, max)`); a pair is adjacent iff its count > 0.
     border_counts: HashMap<(u32, u32), u32>,
@@ -139,14 +142,11 @@ impl NetworkVoronoi {
             *border_counts.entry(pair_key(ou, ov)).or_insert(0) += 1;
         }
 
-        let mut adj: Vec<Vec<SiteIdx>> = vec![Vec::new(); sites.len()];
-        for &(a, b) in border_counts.keys() {
-            adj[a as usize].push(SiteIdx(b));
-            adj[b as usize].push(SiteIdx(a));
-        }
-        for list in &mut adj {
-            list.sort_unstable();
-        }
+        let adj = FlatAdjacency::from_undirected_edges(
+            sites.len(),
+            border_counts.keys().copied(),
+            SiteIdx,
+        );
 
         NetworkVoronoi {
             dist,
@@ -165,7 +165,7 @@ impl NetworkVoronoi {
     /// Returns the new site's index.
     pub fn insert_site(&mut self, net: &RoadNetwork, vertex: VertexId) -> SiteIdx {
         let s = SiteIdx(self.adj.len() as u32);
-        self.adj.push(Vec::new());
+        self.adj.push_empty();
 
         let mut changed: Vec<VertexId> = Vec::new();
         let mut heap: BinaryHeap<Reverse<Cand>> = BinaryHeap::new();
@@ -266,8 +266,12 @@ impl NetworkVoronoi {
 
         // Both the removed site's and the relabelled site's old pairs are
         // fully re-tallied above, so the popped tail slot is empty.
-        let tail = self.adj.pop().expect("at least one site");
-        debug_assert!(tail.is_empty(), "tail adjacency drained by re-tally");
+        let tail = self.adj.len() - 1;
+        debug_assert!(
+            self.adj.get(tail).is_empty(),
+            "tail adjacency drained by re-tally"
+        );
+        self.adj.swap_remove(tail);
     }
 
     /// Repairs the diagram after a batch of edge re-weights, seeded from
@@ -461,14 +465,10 @@ impl NetworkVoronoi {
         *count -= 1;
         if *count == 0 {
             self.border_counts.remove(&key);
-            let at = self.adj[a.idx()]
-                .binary_search(&b)
-                .expect("adjacency mirrors counts");
-            self.adj[a.idx()].remove(at);
-            let at = self.adj[b.idx()]
-                .binary_search(&a)
-                .expect("adjacency mirrors counts");
-            self.adj[b.idx()].remove(at);
+            assert!(
+                self.adj.remove_sorted(a.idx(), b) && self.adj.remove_sorted(b.idx(), a),
+                "adjacency mirrors counts"
+            );
         }
     }
 
@@ -476,12 +476,8 @@ impl NetworkVoronoi {
         let count = self.border_counts.entry(pair_key(a, b)).or_insert(0);
         *count += 1;
         if *count == 1 {
-            if let Err(at) = self.adj[a.idx()].binary_search(&b) {
-                self.adj[a.idx()].insert(at, b);
-            }
-            if let Err(at) = self.adj[b.idx()].binary_search(&a) {
-                self.adj[b.idx()].insert(at, a);
-            }
+            self.adj.insert_sorted(a.idx(), b);
+            self.adj.insert_sorted(b.idx(), a);
         }
     }
 
@@ -506,7 +502,7 @@ impl NetworkVoronoi {
     /// The network Voronoi neighbor set of site `s` (sorted).
     #[inline]
     pub fn neighbors(&self, s: SiteIdx) -> &[SiteIdx] {
-        &self.adj[s.idx()]
+        self.adj.get(s.idx())
     }
 
     /// Whether two sites' cells are adjacent.

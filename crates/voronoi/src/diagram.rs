@@ -9,7 +9,7 @@
 //! of the delta's neighborhood, not the diagram — the substrate of the
 //! delta-epoch index maintenance in `insq-index` / `insq-server`.
 
-use insq_geom::{Aabb, ConvexPolygon, HalfPlane, Point};
+use insq_geom::{Aabb, ConvexPolygon, FlatAdjacency, HalfPlane, Point};
 
 use crate::delaunay::Triangulation;
 use crate::dynamic::DynamicDelaunay;
@@ -33,35 +33,21 @@ impl std::fmt::Display for SiteId {
     }
 }
 
-/// A frozen, flat (CSR) snapshot of the per-site neighbor lists.
-///
-/// One contiguous `targets` array plus an `offsets` fence per site:
-/// the neighbor expansion of a kNN query then walks a single cache-line
-/// friendly slice instead of chasing one heap pointer per visited site.
-/// Only valid while the diagram is immutable — any insert/remove drops
-/// it and reads fall back to the nested lists.
-#[derive(Debug, Clone)]
-struct AdjCsr {
-    /// `offsets[s]..offsets[s + 1]` indexes `targets` for site `s`
-    /// (length `n + 1`).
-    offsets: Vec<u32>,
-    /// All neighbor lists, concatenated in site order (each sorted
-    /// ascending, exactly like the nested form).
-    targets: Vec<SiteId>,
-}
-
 /// An order-1 Voronoi diagram over a set of sites, clipped to a bounding
 /// window, maintainable under site insertions and removals.
+///
+/// Every part is a flat array: the site coordinates, the triangulation's
+/// halfedge arrays and the neighbor lists (one [`FlatAdjacency`] span
+/// per site). A clone — the copy-on-write step of a delta epoch — is
+/// therefore a handful of `memcpy`s, and an insert or remove rewrites
+/// only the lists of the sites whose cells changed.
 #[derive(Debug, Clone)]
 pub struct Voronoi {
     points: Vec<Point>,
     bounds: Aabb,
     tri: DynamicDelaunay,
     /// Per-site Voronoi neighbor lists, each sorted ascending.
-    adj: Vec<Vec<SiteId>>,
-    /// CSR view of `adj`, present iff the diagram is frozen (no
-    /// mutation since the last [`Voronoi::freeze`]).
-    csr: Option<AdjCsr>,
+    adj: FlatAdjacency<SiteId>,
 }
 
 impl Voronoi {
@@ -71,52 +57,13 @@ impl Voronoi {
         let triangulation = Triangulation::build(&points)?;
         let n = points.len();
         let tri = DynamicDelaunay::from_triangulation(triangulation, n);
-
-        let mut adj: Vec<Vec<SiteId>> = vec![Vec::new(); n];
-        for (u, v) in tri.edges() {
-            adj[u as usize].push(SiteId(v));
-            adj[v as usize].push(SiteId(u));
-        }
-        for list in &mut adj {
-            list.sort_unstable();
-        }
-
-        let mut v = Voronoi {
+        let adj = FlatAdjacency::from_undirected_edges(n, tri.edges(), SiteId);
+        Ok(Voronoi {
             points,
             bounds,
             tri,
             adj,
-            csr: None,
-        };
-        v.freeze();
-        Ok(v)
-    }
-
-    /// Freezes the neighbor lists into a flat CSR layout.
-    ///
-    /// Epoch snapshots are immutable, so the index layer calls this at
-    /// publish time (after a build or a delta apply); subsequent
-    /// [`Voronoi::neighbors`] reads come from one contiguous array.
-    /// A later [`Voronoi::insert_site`] / [`Voronoi::remove_site`]
-    /// silently drops the frozen view and falls back to the nested
-    /// lists — freezing is a layout change, never a semantic one.
-    pub fn freeze(&mut self) {
-        let total: usize = self.adj.iter().map(Vec::len).sum();
-        debug_assert!(total <= u32::MAX as usize, "adjacency exceeds u32 range");
-        let mut offsets = Vec::with_capacity(self.adj.len() + 1);
-        let mut targets = Vec::with_capacity(total);
-        offsets.push(0u32);
-        for list in &self.adj {
-            targets.extend_from_slice(list);
-            offsets.push(targets.len() as u32);
-        }
-        self.csr = Some(AdjCsr { offsets, targets });
-    }
-
-    /// Whether the diagram currently carries a frozen CSR neighbor view.
-    #[inline]
-    pub fn is_frozen(&self) -> bool {
-        self.csr.is_some()
+        })
     }
 
     /// Inserts a new site at `p` (which must lie inside the clipping
@@ -133,12 +80,11 @@ impl Voronoi {
                 index: self.points.len(),
             });
         }
-        self.csr = None;
         let v = self.points.len() as u32;
         self.points.push(p);
         match self.tri.insert(&self.points, v, hint.map(|s| s.0)) {
             Ok(affected) => {
-                self.adj.push(Vec::new());
+                self.adj.push_empty();
                 self.refresh_adjacency(&affected);
                 Ok(SiteId(v))
             }
@@ -169,7 +115,6 @@ impl Voronoi {
         if n <= 3 {
             return Err(VoronoiError::TooFewSites { needed: 4, got: n });
         }
-        self.csr = None;
         let affected = self.tri.remove(&self.points, s.0)?;
         let last = (n - 1) as u32;
         let moved = if s.0 != last {
@@ -197,10 +142,12 @@ impl Voronoi {
     }
 
     /// Recomputes the neighbor lists of the given sites from the
-    /// triangulation.
+    /// triangulation, rewriting each in place where it fits.
     fn refresh_adjacency(&mut self, sites: &[u32]) {
+        let mut buf = Vec::new();
         for &w in sites {
-            self.adj[w as usize] = self.tri.neighbors_of(w).into_iter().map(SiteId).collect();
+            self.tri.neighbors_of_into(w, &mut buf);
+            self.adj.set(w as usize, buf.iter().map(|&v| SiteId(v)));
         }
     }
 
@@ -249,13 +196,7 @@ impl Voronoi {
     /// which only requires a superset of the true neighbor set.
     #[inline]
     pub fn neighbors(&self, s: SiteId) -> &[SiteId] {
-        if let Some(csr) = &self.csr {
-            let lo = csr.offsets[s.idx()] as usize;
-            let hi = csr.offsets[s.idx() + 1] as usize;
-            &csr.targets[lo..hi]
-        } else {
-            &self.adj[s.idx()]
-        }
+        self.adj.get(s.idx())
     }
 
     /// Whether sites `a` and `b` are Voronoi neighbors.
@@ -531,34 +472,53 @@ mod tests {
     }
 
     #[test]
-    fn freeze_is_a_pure_layout_change() {
+    fn flat_adjacency_survives_compaction() {
         let mut next = lcg(0xc50f_f5e7);
         let points: Vec<Point> = (0..40)
             .map(|_| Point::new(next() * 10.0, next() * 10.0))
             .collect();
         let bounds = Aabb::new(Point::new(-1.0, -1.0), Point::new(11.0, 11.0));
         let mut v = Voronoi::build(points, bounds).unwrap();
-        // A fresh build is frozen; capture its CSR-backed neighbor lists.
-        assert!(v.is_frozen());
-        let frozen: Vec<Vec<SiteId>> = (0..v.len() as u32)
-            .map(|s| v.neighbors(SiteId(s)).to_vec())
-            .collect();
-        // Mutation drops the frozen view and reads fall back to the
-        // nested lists — with identical content for untouched sites.
-        let id = v.insert_site(Point::new(5.05, 5.05), None).unwrap();
-        assert!(!v.is_frozen());
-        v.remove_site(id).unwrap();
-        assert!(!v.is_frozen());
-        let nested: Vec<Vec<SiteId>> = (0..v.len() as u32)
-            .map(|s| v.neighbors(SiteId(s)).to_vec())
-            .collect();
-        // Re-freezing restores the flat layout with the same content.
-        v.freeze();
-        assert!(v.is_frozen());
-        for s in 0..v.len() as u32 {
-            assert_eq!(v.neighbors(SiteId(s)), &nested[s as usize][..]);
+        // Compactions so far: a compaction is the only edit that lowers
+        // the dead-slot count, and one insert or remove leaves far fewer
+        // dead slots behind than the half of the array that triggers it.
+        let mut compactions = 0;
+        for _ in 0..200 {
+            let dead = v.adj.dead_slots();
+            if v.len() <= 30 || next() < 0.5 {
+                v.insert_site(Point::new(next() * 10.0, next() * 10.0), None)
+                    .unwrap();
+            } else {
+                let s = SiteId((next() * v.len() as f64) as u32);
+                v.remove_site(s).unwrap();
+            }
+            if v.adj.dead_slots() < dead {
+                compactions += 1;
+                for s in 0..v.len() as u32 {
+                    assert!(v.neighbors(SiteId(s)).windows(2).all(|w| w[0] < w[1]));
+                }
+                assert_matches_rebuild(&v);
+            }
         }
-        assert_eq!(frozen, nested, "insert+remove round-trip changed lists");
+        assert!(compactions >= 3, "only {compactions} compactions");
+
+        // A clone is an independent snapshot: churning it leaves the
+        // original's lists untouched.
+        let lists = |v: &Voronoi| -> Vec<Vec<SiteId>> {
+            (0..v.len() as u32)
+                .map(|s| v.neighbors(SiteId(s)).to_vec())
+                .collect()
+        };
+        let original = lists(&v);
+        let mut copy = v.clone();
+        for _ in 0..20 {
+            copy.insert_site(Point::new(next() * 10.0, next() * 10.0), None)
+                .unwrap();
+            copy.remove_site(SiteId(0)).unwrap();
+        }
+        assert_ne!(lists(&copy), original);
+        assert_eq!(lists(&v), original);
+        assert_matches_rebuild(&copy);
     }
 
     #[test]

@@ -186,9 +186,17 @@ impl DynamicDelaunay {
     /// The finite Delaunay neighbors of `v`, sorted ascending.
     pub fn neighbors_of(&self, v: u32) -> Vec<u32> {
         let mut out = Vec::new();
+        self.neighbors_of_into(v, &mut out);
+        out
+    }
+
+    /// [`DynamicDelaunay::neighbors_of`] into a reused buffer (cleared
+    /// first), so a repair loop over many sites allocates once.
+    pub fn neighbors_of_into(&self, v: u32, out: &mut Vec<u32>) {
+        out.clear();
         let e0 = self.vert_edge[v as usize];
         if e0 == EMPTY {
-            return out;
+            return;
         }
         let mut e = e0;
         loop {
@@ -202,7 +210,6 @@ impl DynamicDelaunay {
             }
         }
         out.sort_unstable();
-        out
     }
 
     /// Whether vertex `v` currently lies on the convex hull.
